@@ -329,6 +329,44 @@ impl Model {
         outputs.pop().expect("model has at least the input node")
     }
 
+    /// Resumes a run at node `from`, reusing the outputs of the nodes
+    /// before it.
+    ///
+    /// `outputs` must hold at least the outputs of nodes `0..from` for
+    /// `input` (a previous run's full output list qualifies); it is
+    /// truncated to them, then nodes `from..` are evaluated and
+    /// appended. Returns the logits. With `from` the input node and an
+    /// empty `outputs` this is [`Model::run`], keeping every node's
+    /// output. The result is bit-identical to a full run whenever the
+    /// executor computes nodes before `from` as it did when `outputs`
+    /// was filled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `outputs` holds fewer than `from` outputs, or on shape
+    /// mismatches inside the graph.
+    pub fn run_from<'o, E: Executor + ?Sized>(
+        &self,
+        executor: &E,
+        input: &Tensor,
+        outputs: &'o mut Vec<Tensor>,
+        from: NodeId,
+    ) -> &'o Tensor {
+        assert!(
+            outputs.len() >= from.index(),
+            "resuming at node {} needs the {} outputs before it, got {}",
+            from.index(),
+            from.index(),
+            outputs.len()
+        );
+        outputs.truncate(from.index());
+        for idx in from.index()..self.nodes.len() {
+            let value = self.eval_node(idx, executor, input, outputs);
+            outputs.push(value);
+        }
+        outputs.last().expect("model has at least the input node")
+    }
+
     /// Data-dependent activation normalization (LSUV-style), the
     /// deployment analogue of folding batch normalization into the
     /// preceding conv/linear layer.
@@ -522,6 +560,42 @@ mod tests {
             seen.push(id.index());
         });
         assert_eq!(seen, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn resumed_run_reuses_the_prefix_and_matches_a_full_run() {
+        let model = crate::NetArch::SqueezeNet11.build(3);
+        let image = crate::SyntheticDataset::generate(1, 5).images()[0].clone();
+        let full = model.run(&ExactExecutor, &image);
+        let mut outputs = Vec::new();
+        assert_eq!(
+            model.run_from(&ExactExecutor, &image, &mut outputs, model.input()),
+            &full
+        );
+        assert_eq!(outputs.len(), model.nodes().len());
+        for from in model.weighted_layers() {
+            // Poison the suffix: a resumed run must recompute it.
+            outputs[from.index()] = Tensor::zeros(&[1]);
+            assert_eq!(
+                model.run_from(&ExactExecutor, &image, &mut outputs, from),
+                &full
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the 2 outputs before it")]
+    fn resuming_without_the_prefix_panics() {
+        let mut m = Model::new("short");
+        let input = m.input();
+        let c = m.push(Op::Conv(tiny_conv(2, 3, 0.1)), &[input]);
+        let r = m.push(Op::Relu, &[c]);
+        let _ = m.run_from(
+            &ExactExecutor,
+            &Tensor::filled(&[3, 4, 4], 1.0),
+            &mut vec![],
+            r,
+        );
     }
 
     #[test]

@@ -18,11 +18,19 @@
 //! the paper's `(α, β)` compression), and the clipping-based methods
 //! use per-channel weight scales.
 //!
-//! Quantized inference runs honestly in the integer domain: `u8 × u8 →
-//! i32` accumulation with affine zero-point correction, bias quantized
-//! to `16 − α − β` bits — exactly the arithmetic the compressed MAC of
-//! the NPU performs. The hardware multiply is hookable ([`MulModel`])
-//! so `agequant-faults` can inject aging bit flips into every product.
+//! Quantized inference runs honestly in the integer domain: `u8` codes,
+//! exact integer dot products with affine zero-point correction, and
+//! bias quantized to `16 − α − β` bits. With the exact multiplier the
+//! `u8 × u8` products are summed in 32-bit lanes over fan-in tiles of at
+//! most 2^15 rows (`2^15 · 255² < 2^31`, so no tile can overflow), four
+//! output channels per pass over the patch matrix; each tile sum is
+//! widened into an `i64` total, the zero-point correction is applied in
+//! `i64`, and dequantization in `f64`. A hooked multiplier ([`MulModel`],
+//! through which `agequant-faults` injects aging bit flips into every
+//! product) is summed product by product in `i64`; both paths give the
+//! same sums. The result is the exact dot product: the paper's 22-bit
+//! MAC accumulator (`netlist::mac`, which wraps modulo 2^22) is not
+//! modelled here yet.
 //!
 //! # Example
 //!

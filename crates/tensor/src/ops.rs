@@ -24,14 +24,19 @@ pub struct Patches<T> {
 /// Lowers a CHW image to an im2col patch matrix for a `kh × kw`
 /// convolution with the given stride and zero padding.
 ///
-/// `get` reads element `(c, y, x)` of the image; out-of-bounds reads
-/// (from padding) receive `zero`.
+/// `image` is the row-major `channels × height × width` input;
+/// positions that fall in the padding receive `zero`. Each kernel
+/// offset's valid output-x range is computed once, so interior rows
+/// are copied (with `copy_from_slice` at stride 1) instead of read
+/// element by element.
 ///
 /// # Panics
 ///
-/// Panics if the kernel does not fit the padded image or `stride == 0`.
+/// Panics if `image` does not hold `channels × height × width`
+/// elements, the kernel does not fit the padded image or `stride == 0`.
 #[allow(clippy::too_many_arguments)] // mirrors the standard im2col signature
 pub fn im2col<T: Copy>(
+    image: &[T],
     channels: usize,
     height: usize,
     width: usize,
@@ -40,9 +45,13 @@ pub fn im2col<T: Copy>(
     stride: usize,
     pad: usize,
     zero: T,
-    get: impl Fn(usize, usize, usize) -> T,
 ) -> Patches<T> {
     assert!(stride > 0, "stride must be positive");
+    assert_eq!(
+        image.len(),
+        channels * height * width,
+        "image must hold {channels}x{height}x{width} elements"
+    );
     assert!(
         height + 2 * pad >= kh && width + 2 * pad >= kw,
         "kernel {kh}x{kw} larger than padded input {height}x{width} (+{pad})"
@@ -52,26 +61,37 @@ pub fn im2col<T: Copy>(
     let rows = channels * kh * kw;
     let cols = out_h * out_w;
     let mut data = vec![zero; rows * cols];
-    let mut row = 0;
+    // Output positions `o` whose input coordinate `o·stride + k − pad`
+    // lies inside `0..extent`; everything outside stays `zero`.
+    let valid = |k: usize, extent: usize, out: usize| {
+        let lo = pad.saturating_sub(k).div_ceil(stride);
+        let hi = (extent + pad).saturating_sub(k).div_ceil(stride).min(out);
+        lo..hi.max(lo)
+    };
+    let mut rows_out = data.chunks_exact_mut(cols);
     for c in 0..channels {
+        let plane = &image[c * height * width..(c + 1) * height * width];
         for ky in 0..kh {
+            let oys = valid(ky, height, out_h);
             for kx in 0..kw {
-                let base = row * cols;
-                for oy in 0..out_h {
-                    let iy = oy * stride + ky;
-                    if iy < pad || iy >= height + pad {
-                        continue; // stays zero
-                    }
-                    let iy = iy - pad;
-                    for ox in 0..out_w {
-                        let ix = ox * stride + kx;
-                        if ix < pad || ix >= width + pad {
-                            continue;
+                let row = rows_out.next().expect("one patch row per (c, ky, kx)");
+                let oxs = valid(kx, width, out_w);
+                if oxs.is_empty() {
+                    continue;
+                }
+                let ix0 = oxs.start * stride + kx - pad;
+                for oy in oys.clone() {
+                    let iy = oy * stride + ky - pad;
+                    let src = &plane[iy * width + ix0..(iy + 1) * width];
+                    let dst = &mut row[oy * out_w + oxs.start..oy * out_w + oxs.end];
+                    if stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (d, &s) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = s;
                         }
-                        data[base + oy * out_w + ox] = get(c, iy, ix - pad);
                     }
                 }
-                row += 1;
             }
         }
     }
@@ -99,10 +119,7 @@ pub fn conv2d(input: &Tensor, weights: &Tensor, bias: &[f32], stride: usize, pad
     assert_eq!(ic, c, "in-channel mismatch: weights {ic}, input {c}");
     assert_eq!(bias.len(), oc, "bias length mismatch");
 
-    let img = input.data();
-    let patches = im2col(c, h, w, kh, kw, stride, pad, 0.0f32, |cc, yy, xx| {
-        img[(cc * h + yy) * w + xx]
-    });
+    let patches = im2col(input.data(), c, h, w, kh, kw, stride, pad, 0.0f32);
     let wdata = weights.data();
     let mut out = vec![0.0f32; oc * patches.cols];
     for o in 0..oc {
@@ -396,8 +413,70 @@ mod proptests {
 
     use super::*;
 
+    /// Element-by-element im2col: every patch entry read with its own
+    /// bounds check.
+    #[allow(clippy::too_many_arguments)]
+    fn im2col_naive(
+        image: &[u8],
+        channels: usize,
+        height: usize,
+        width: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+        zero: u8,
+    ) -> Vec<u8> {
+        let out_h = (height + 2 * pad - kh) / stride + 1;
+        let out_w = (width + 2 * pad - kw) / stride + 1;
+        let mut data = Vec::with_capacity(channels * kh * kw * out_h * out_w);
+        for c in 0..channels {
+            for ky in 0..kh {
+                for kx in 0..kw {
+                    for oy in 0..out_h {
+                        for ox in 0..out_w {
+                            let iy = (oy * stride + ky).checked_sub(pad).filter(|&y| y < height);
+                            let ix = (ox * stride + kx).checked_sub(pad).filter(|&x| x < width);
+                            data.push(match (iy, ix) {
+                                (Some(y), Some(x)) => image[(c * height + y) * width + x],
+                                _ => zero,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        data
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The copy-based lowering equals the element-by-element one
+        /// for 1×1 and 3×3 kernels at stride 1 or 2 and pad 0 or 1.
+        #[test]
+        fn im2col_matches_naive_reference(
+            channels in 1usize..5,
+            height in 1usize..9,
+            width in 1usize..9,
+            k in prop::sample::select(vec![1usize, 3]),
+            stride in 1usize..3,
+            pad in 0usize..2,
+            zero in any::<u8>(),
+            seed in any::<u64>(),
+        ) {
+            if height + 2 * pad < k || width + 2 * pad < k {
+                return;
+            }
+            let image: Vec<u8> = (0..channels * height * width)
+                .map(|i| (seed.wrapping_mul(i as u64 + 1) >> 24) as u8)
+                .collect();
+            let fast = im2col(&image, channels, height, width, k, k, stride, pad, zero);
+            let slow = im2col_naive(&image, channels, height, width, k, k, stride, pad, zero);
+            prop_assert_eq!(fast.rows, channels * k * k);
+            prop_assert_eq!(fast.cols, fast.out_h * fast.out_w);
+            prop_assert_eq!(fast.data, slow);
+        }
 
         /// im2col reconstructs exactly the receptive fields: convolving
         /// with a one-hot kernel extracts a shifted copy of the input.
