@@ -240,8 +240,9 @@ pub(crate) struct Execution {
 
 // ---------------------------------------------------------------------------
 // Thread-local identity: which execution (if any) this OS thread
-// belongs to. Threads without a context — including vendored-rayon
-// workers — fall back to real std primitives inside the facade types.
+// belongs to. Threads without a context — those spawned by plain
+// `std::thread` rather than the facade — fall back to real std
+// primitives inside the facade types.
 // ---------------------------------------------------------------------------
 
 #[derive(Clone)]

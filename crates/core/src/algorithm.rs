@@ -1,20 +1,20 @@
 //! Algorithm 1: aging-aware quantization.
 //!
-//! Every per-aging-level entry point has two faces: the default
-//! methods run on the shared [`EvalEngine`] (memoized characterization
-//! and load vectors, plan cache, rayon-parallel scans), while the
-//! `*_serial` methods preserve the original uncached single-threaded
-//! reference implementation. The two are bit-identical — see
-//! `crates/core/tests/equivalence.rs`.
+//! Every per-aging-level entry point runs on the shared [`EvalEngine`]
+//! (memoized characterization and load vectors, plan cache) and fans
+//! its independent work out with [`par_map`]. The results are
+//! bit-identical to an uncached single-threaded walk of the same
+//! sequence — `crates/core/tests/equivalence.rs` checks this against
+//! oracles built on the public API.
 
+use agequant_check::par_map;
 use agequant_check::sync::Arc;
 
 use agequant_aging::{DegradationModel, DelayDerating, ModelSpec, VthShift};
 use agequant_netlist::mac::MacCircuit;
 use agequant_nn::{accuracy_loss_pct, ExactExecutor, Model, NetArch, SyntheticDataset};
 use agequant_quant::{quantize_model_with, BitWidths, QuantMethod, QuantizedModel};
-use agequant_sta::{mac_case_on, CaseAssignment, Compression, Padding, Sta};
-use rayon::prelude::*;
+use agequant_sta::{mac_case_on, Compression, Padding, Sta};
 use serde::{Deserialize, Serialize};
 
 use crate::{EvalEngine, FlowConfig, FlowError};
@@ -205,46 +205,16 @@ impl AgingAwareQuantizer {
             .critical_path_ps
     }
 
-    /// The valid `(compression, padding)` scan order of the grid:
-    /// compressions in [`Compression::grid`] order, paddings in
-    /// [`Padding::ALL`] order within each. Both execution strategies
-    /// evaluate exactly this sequence.
-    fn grid_cases(&self) -> Vec<(Compression, Padding)> {
-        let mut cases = Vec::new();
-        for compression in Compression::grid(self.config.grid_max) {
-            if compression.validate(self.mac.geometry()).is_err() {
-                continue;
-            }
-            for padding in Padding::ALL {
-                cases.push((compression, padding));
-            }
-        }
-        cases
-    }
-
-    /// One STA point of the grid scan.
-    fn scan_case(&self, sta: &Sta<'_>, compression: Compression, padding: Padding) -> f64 {
-        let case: CaseAssignment = mac_case_on(
-            self.mac.netlist(),
-            self.mac.geometry(),
-            compression,
-            padding,
-        )
-        .expect("grid cases are valid for the flow's MAC");
-        sta.analyze(&case).critical_path_ps
-    }
-
     /// Scans the full `(α, β)` grid under both paddings at `shift`,
     /// returning every point whose aged critical path meets
     /// `constraint_ps` (Algorithm 1 lines 2–4 generalized to an
-    /// arbitrary constraint).
+    /// arbitrary constraint), in [`Compression::grid`] order with
+    /// paddings in [`Padding::ALL`] order within each compression.
     ///
     /// The scan runs on the engine: the characterized library and the
     /// load vector are cached per ΔVth, one STA session serves the
     /// whole grid, and the independent case analyses fan out with
-    /// rayon. The indexed parallel map preserves scan order, so the
-    /// result is bit-identical to
-    /// [`feasible_compressions_serial`](Self::feasible_compressions_serial).
+    /// [`par_map`], which preserves scan order.
     #[must_use]
     pub fn feasible_compressions(&self, shift: VthShift, constraint_ps: f64) -> Vec<FeasiblePoint> {
         let lib = self.engine.library(&self.model_key, &self.derating, shift);
@@ -252,44 +222,24 @@ impl AgingAwareQuantizer {
             self.engine
                 .sta_loads(&self.model_key, &self.derating, self.mac.netlist(), shift);
         let sta = Sta::with_loads(self.mac.netlist(), &lib, &loads);
-        let cases = self.grid_cases();
-        cases
-            .par_iter()
-            .map(|&(compression, padding)| FeasiblePoint {
+        let geometry = self.mac.geometry();
+        let cases: Vec<(Compression, Padding)> = Compression::grid(self.config.grid_max)
+            .into_iter()
+            .filter(|compression| compression.validate(geometry).is_ok())
+            .flat_map(|compression| Padding::ALL.map(|padding| (compression, padding)))
+            .collect();
+        par_map(&cases, |&(compression, padding)| {
+            let case = mac_case_on(self.mac.netlist(), geometry, compression, padding)
+                .expect("grid cases are valid for the flow's MAC");
+            FeasiblePoint {
                 compression,
                 padding,
-                delay_ps: self.scan_case(&sta, compression, padding),
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .filter(|p| p.delay_ps <= constraint_ps + 1e-9)
-            .collect()
-    }
-
-    /// The original single-threaded, uncached grid scan: characterizes
-    /// the library and rebuilds the STA session on every call, then
-    /// walks the grid in order. Kept as the reference implementation
-    /// the equivalence suite and the engine benches compare against.
-    #[must_use]
-    pub fn feasible_compressions_serial(
-        &self,
-        shift: VthShift,
-        constraint_ps: f64,
-    ) -> Vec<FeasiblePoint> {
-        let lib = self.config.process.characterize(&self.derating, shift);
-        let sta = Sta::new(self.mac.netlist(), &lib);
-        let mut points = Vec::new();
-        for (compression, padding) in self.grid_cases() {
-            let delay_ps = self.scan_case(&sta, compression, padding);
-            if delay_ps <= constraint_ps + 1e-9 {
-                points.push(FeasiblePoint {
-                    compression,
-                    padding,
-                    delay_ps,
-                });
+                delay_ps: sta.analyze(&case).critical_path_ps,
             }
-        }
-        points
+        })
+        .into_iter()
+        .filter(|p| p.delay_ps <= constraint_ps + 1e-9)
+        .collect()
     }
 
     /// Algorithm 1 lines 2–5: the minimum-norm feasible compression at
@@ -331,25 +281,7 @@ impl AgingAwareQuantizer {
         Ok(plan)
     }
 
-    /// The original uncached single-threaded Algorithm 1 lines 2–5,
-    /// kept as the equivalence reference for
-    /// [`compression_for_constraint`](Self::compression_for_constraint).
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::NoFeasibleCompression`] if nothing meets the
-    /// constraint.
-    pub fn compression_for_constraint_serial(
-        &self,
-        shift: VthShift,
-        constraint_ps: f64,
-    ) -> Result<CompressionPlan, FlowError> {
-        let points = self.feasible_compressions_serial(shift, constraint_ps);
-        Self::select_plan(&points, shift, constraint_ps)
-    }
-
-    /// Algorithm 1 line 5: picks the plan from the feasible set. Pure
-    /// selection — both execution strategies funnel through it.
+    /// Algorithm 1 line 5: picks the plan from the feasible set.
     fn select_plan(
         points: &[FeasiblePoint],
         shift: VthShift,
@@ -431,12 +363,11 @@ impl AgingAwareQuantizer {
     /// quantize `model` with every library method at the plan's bit
     /// widths and select per the threshold policy.
     ///
-    /// The per-method quantize-and-evaluate runs fan out with rayon;
-    /// the threshold policy is then applied to the ordered loss list,
-    /// reproducing the serial early exit exactly: with a threshold
-    /// set, the reported `method_losses` end at the first method
-    /// meeting it. Bit-identical to
-    /// [`select_method_serial`](Self::select_method_serial).
+    /// The per-method quantize-and-evaluate runs fan out with
+    /// [`par_map`]; the threshold policy is then applied to the
+    /// ordered loss list, reproducing the paper's early exit exactly:
+    /// with a threshold set, the reported `method_losses` end at the
+    /// first method meeting it.
     ///
     /// # Errors
     ///
@@ -450,49 +381,12 @@ impl AgingAwareQuantizer {
         let (calib, eval) = self.splits();
         let fp32 = model.predict_all(&ExactExecutor, eval.images());
         let bits = plan.bit_widths();
-        let method_losses: Vec<(QuantMethod, f64)> = QuantMethod::ALL
-            .par_iter()
-            .map(|&method| {
-                let quantized: QuantizedModel =
-                    quantize_model_with(model, method, bits, &calib, &self.config.lapq);
-                let preds = model.predict_all(&quantized, eval.images());
-                (method, accuracy_loss_pct(&fp32, &preds))
-            })
-            .collect();
-        Self::resolve_methods(model.name(), plan, method_losses, self.config.threshold_pct)
-    }
-
-    /// The original single-threaded lines 6–9, with the true early
-    /// exit on the threshold. Kept as the equivalence reference for
-    /// [`select_method`](Self::select_method).
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::ThresholdUnmet`] when a threshold is configured and
-    /// no method satisfies it.
-    pub fn select_method_serial(
-        &self,
-        model: &Model,
-        plan: CompressionPlan,
-    ) -> Result<ModelOutcome, FlowError> {
-        let (calib, eval) = self.splits();
-        let fp32 = model.predict_all(&ExactExecutor, eval.images());
-        let bits = plan.bit_widths();
-
-        let mut method_losses = Vec::with_capacity(QuantMethod::ALL.len());
-        for method in QuantMethod::ALL {
+        let method_losses = par_map(&QuantMethod::ALL, |&method| {
             let quantized: QuantizedModel =
                 quantize_model_with(model, method, bits, &calib, &self.config.lapq);
             let preds = model.predict_all(&quantized, eval.images());
-            let loss = accuracy_loss_pct(&fp32, &preds);
-            method_losses.push((method, loss));
-            if let Some(threshold) = self.config.threshold_pct {
-                if loss <= threshold {
-                    // Line 9: first method meeting the threshold wins.
-                    break;
-                }
-            }
-        }
+            (method, accuracy_loss_pct(&fp32, &preds))
+        });
         Self::resolve_methods(model.name(), plan, method_losses, self.config.threshold_pct)
     }
 
@@ -500,10 +394,10 @@ impl AgingAwareQuantizer {
     ///
     /// With a threshold set, the *first* method (library order)
     /// meeting it wins and `method_losses` is truncated at that
-    /// method — exactly the paper's line-9 early exit, so the
-    /// parallel path (which evaluates every method) reports the same
-    /// outcome the stop-early serial loop does. Without a threshold,
-    /// the best loss wins, first method on exact ties.
+    /// method — exactly the paper's line-9 early exit, so evaluating
+    /// every method in parallel reports the same outcome a loop that
+    /// stops early does. Without a threshold, the best loss wins,
+    /// first method on exact ties.
     fn resolve_methods(
         network: &str,
         plan: CompressionPlan,

@@ -152,8 +152,8 @@ pub struct EvalEngine {
     counters: RwLock<BTreeMap<String, Arc<ModelCounters>>>,
 }
 
-// The engine is shared by reference across worker threads (rayon scans
-// and the serve crate's request workers); regressing `Send + Sync`
+// The engine is shared by reference across worker threads (`par_map`
+// scans and the serve crate's request workers); regressing `Send + Sync`
 // would only surface as a compile error far from the cause, so pin it
 // here at the definition.
 const _: () = {

@@ -24,9 +24,11 @@
 //! characterized libraries, STA load vectors, and compression plans
 //! are memoized per quantized ΔVth, and the independent fan-outs (the
 //! `(α, β) × Padding` grid, the per-method quantization runs, the
-//! design-space and lifetime sweeps) are parallelized with rayon.
-//! Results are bit-identical to the retained uncached serial reference
-//! paths (`*_serial` methods); `tests/equivalence.rs` enforces this.
+//! design-space and lifetime sweeps) run on
+//! [`agequant_check::par_map`], which keeps input order, so results
+//! are bit-identical to an uncached single-threaded walk;
+//! `tests/equivalence.rs` checks this against oracles built on the
+//! public API.
 //!
 //! # Example
 //!

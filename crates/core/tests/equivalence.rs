@@ -1,11 +1,15 @@
 //! Provable equivalence of the evaluation engine: the memoized,
-//! rayon-parallel paths must return **bit-identical** results to the
-//! retained uncached serial reference paths, at every level of the
-//! paper's aging sweep.
+//! parallel paths must return **bit-identical** results to uncached
+//! single-threaded oracles written here on the public API, at every
+//! level of the paper's aging sweep.
 
 use agequant_aging::{VthShift, AGING_SWEEP_MV};
-use agequant_core::{AgingAwareQuantizer, FlowConfig};
-use agequant_nn::NetArch;
+use agequant_core::{
+    AgingAwareQuantizer, CompressionPlan, FeasiblePoint, FlowConfig, FlowError, ModelOutcome,
+};
+use agequant_nn::{accuracy_loss_pct, ExactExecutor, Model, NetArch};
+use agequant_quant::{quantize_model_with, QuantMethod};
+use agequant_sta::{mac_case_on, Compression, Padding, Sta};
 
 fn flow() -> AgingAwareQuantizer {
     AgingAwareQuantizer::new(FlowConfig::edge_tpu_like()).expect("valid config")
@@ -20,50 +24,154 @@ fn quick_flow(threshold_pct: Option<f64>) -> AgingAwareQuantizer {
     AgingAwareQuantizer::new(config).expect("valid config")
 }
 
+/// Scan oracle (Algorithm 1 lines 2–4): characterizes the library and
+/// builds the STA session afresh, then walks the grid in order on one
+/// thread.
+fn oracle_points(
+    flow: &AgingAwareQuantizer,
+    shift: VthShift,
+    constraint_ps: f64,
+) -> Vec<FeasiblePoint> {
+    let lib = flow.config().process.characterize(flow.derating(), shift);
+    let netlist = flow.mac().netlist();
+    let geometry = flow.mac().geometry();
+    let sta = Sta::new(netlist, &lib);
+    let mut points = Vec::new();
+    for compression in Compression::grid(flow.config().grid_max) {
+        if compression.validate(geometry).is_err() {
+            continue;
+        }
+        for padding in Padding::ALL {
+            let case = mac_case_on(netlist, geometry, compression, padding).expect("valid case");
+            let delay_ps = sta.analyze(&case).critical_path_ps;
+            if delay_ps <= constraint_ps + 1e-9 {
+                points.push(FeasiblePoint {
+                    compression,
+                    padding,
+                    delay_ps,
+                });
+            }
+        }
+    }
+    points
+}
+
+/// A plan counts exactly the oracle's feasible points and picks one of
+/// them bit-for-bit; which one is pinned by
+/// `near_tie_band_selection_is_pinned`.
+fn assert_plan_in_oracle(plan: &CompressionPlan, oracle: &[FeasiblePoint]) {
+    assert_eq!(plan.feasible_points, oracle.len(), "{plan:?}");
+    assert!(
+        oracle.contains(&FeasiblePoint {
+            compression: plan.compression,
+            padding: plan.padding,
+            delay_ps: plan.compressed_delay_ps,
+        }),
+        "{plan:?} is not an oracle point"
+    );
+}
+
+/// Selection oracle (Algorithm 1 lines 6–9): quantizes with each
+/// library method in order on one thread, stopping at the first method
+/// that meets the threshold.
+fn oracle_outcome(
+    flow: &AgingAwareQuantizer,
+    model: &Model,
+    plan: CompressionPlan,
+) -> Result<ModelOutcome, FlowError> {
+    let config = flow.config();
+    let (calib, eval) = flow.splits();
+    let fp32 = model.predict_all(&ExactExecutor, eval.images());
+    let mut method_losses = Vec::new();
+    for method in QuantMethod::ALL {
+        let quantized = quantize_model_with(model, method, plan.bit_widths(), &calib, &config.lapq);
+        let loss = accuracy_loss_pct(&fp32, &model.predict_all(&quantized, eval.images()));
+        method_losses.push((method, loss));
+        if config
+            .threshold_pct
+            .is_some_and(|threshold| loss <= threshold)
+        {
+            break;
+        }
+    }
+    let (method, loss) = match config.threshold_pct {
+        Some(threshold) => {
+            let last = *method_losses.last().expect("one method ran");
+            if last.1 > threshold {
+                return Err(FlowError::ThresholdUnmet {
+                    best_loss_pct: method_losses
+                        .iter()
+                        .map(|m| m.1)
+                        .fold(f64::INFINITY, f64::min),
+                    threshold_pct: threshold,
+                });
+            }
+            last
+        }
+        // The best loss wins, the first method on exact ties.
+        None => method_losses
+            .iter()
+            .copied()
+            .reduce(|best, m| if m.1 < best.1 { m } else { best })
+            .expect("one method ran"),
+    };
+    Ok(ModelOutcome {
+        network: model.name().to_string(),
+        plan,
+        method,
+        accuracy_loss_pct: loss,
+        method_losses,
+    })
+}
+
 #[test]
 fn feasible_points_bit_identical_across_sweep() {
     let flow = flow();
     let clock = flow.fresh_critical_path_ps();
     for &mv in &AGING_SWEEP_MV {
         let shift = VthShift::from_millivolts(mv);
-        let parallel = flow.feasible_compressions(shift, clock);
-        let serial = flow.feasible_compressions_serial(shift, clock);
+        let oracle = oracle_points(&flow, shift, clock);
         // `FeasiblePoint` holds f64 delays; `==` is exact bit-level
         // agreement, not a tolerance comparison.
-        assert_eq!(parallel, serial, "divergence at {mv} mV");
+        assert_eq!(
+            flow.feasible_compressions(shift, clock),
+            oracle,
+            "divergence at {mv} mV"
+        );
         // A second engine pass (now warm) must also agree.
-        assert_eq!(flow.feasible_compressions(shift, clock), serial);
+        assert_eq!(flow.feasible_compressions(shift, clock), oracle);
     }
     let stats = flow.engine().stats();
     assert!(stats.library_hits > 0, "cache never hit: {stats:?}");
 }
 
 #[test]
-fn plans_bit_identical_across_sweep() {
+fn plans_match_the_oracle_across_sweep() {
     let flow = flow();
+    let clock = flow.fresh_critical_path_ps();
     for &mv in &AGING_SWEEP_MV {
         let shift = VthShift::from_millivolts(mv);
         let cached = flow.compression_for(shift).expect("feasible");
-        let serial = flow
-            .compression_for_constraint_serial(shift, flow.fresh_critical_path_ps())
-            .expect("feasible");
-        assert_eq!(cached, serial, "divergence at {mv} mV");
+        assert_plan_in_oracle(&cached, &oracle_points(&flow, shift, clock));
         // The plan-cache hit returns the identical plan.
-        assert_eq!(flow.compression_for(shift).expect("feasible"), serial);
+        assert_eq!(flow.compression_for(shift).expect("feasible"), cached);
     }
     let stats = flow.engine().stats();
     assert!(stats.plan_hits >= AGING_SWEEP_MV.len() as u64, "{stats:?}");
 }
 
 #[test]
-fn infeasible_constraint_agrees_between_paths() {
+fn infeasible_constraint_agrees_with_the_oracle() {
     let flow = flow();
     let shift = VthShift::from_millivolts(50.0);
-    let parallel = flow.compression_for_constraint(shift, 1.0).unwrap_err();
-    let serial = flow
-        .compression_for_constraint_serial(shift, 1.0)
-        .unwrap_err();
-    assert_eq!(parallel, serial);
+    assert!(oracle_points(&flow, shift, 1.0).is_empty());
+    assert_eq!(
+        flow.compression_for_constraint(shift, 1.0).unwrap_err(),
+        FlowError::NoFeasibleCompression {
+            shift,
+            constraint_ps: 1.0
+        }
+    );
 }
 
 #[test]
@@ -75,14 +183,14 @@ fn model_outcomes_bit_identical_without_threshold() {
             .compression_for(VthShift::from_millivolts(mv))
             .expect("feasible");
         let parallel = flow.select_method(&model, plan).expect("completes");
-        let serial = flow.select_method_serial(&model, plan).expect("completes");
-        assert_eq!(parallel, serial, "divergence at {mv} mV");
+        let oracle = oracle_outcome(&flow, &model, plan).expect("completes");
+        assert_eq!(parallel, oracle, "divergence at {mv} mV");
     }
 }
 
 #[test]
 fn model_outcomes_bit_identical_with_threshold_early_exit() {
-    // A generous threshold exercises the serial early exit: the
+    // A generous threshold exercises the oracle's early exit: the
     // parallel path must truncate its loss list to the same prefix.
     let flow = quick_flow(Some(100.0));
     let model = NetArch::AlexNet.build(flow.config().model_seed);
@@ -90,44 +198,44 @@ fn model_outcomes_bit_identical_with_threshold_early_exit() {
         .compression_for(VthShift::from_millivolts(10.0))
         .expect("feasible");
     let parallel = flow.select_method(&model, plan).expect("threshold met");
-    let serial = flow
-        .select_method_serial(&model, plan)
-        .expect("threshold met");
-    assert_eq!(parallel, serial);
+    let oracle = oracle_outcome(&flow, &model, plan).expect("threshold met");
+    assert_eq!(parallel, oracle);
     assert_eq!(parallel.method_losses.len(), 1, "early exit reproduced");
 }
 
 #[test]
-fn threshold_unmet_error_agrees_between_paths() {
+fn threshold_unmet_error_agrees_with_the_oracle() {
     let flow = quick_flow(Some(0.0));
     let model = NetArch::SqueezeNet11.build(flow.config().model_seed);
     let plan = flow
         .compression_for(VthShift::from_millivolts(50.0))
         .expect("feasible");
     let parallel = flow.select_method(&model, plan).unwrap_err();
-    let serial = flow.select_method_serial(&model, plan).unwrap_err();
-    assert_eq!(parallel, serial);
+    let oracle = oracle_outcome(&flow, &model, plan).unwrap_err();
+    assert_eq!(parallel, oracle);
 }
 
 /// The engine's caches are `RwLock`-protected and the engine itself is
 /// `Send + Sync`: N threads hammering the same ΔVth grid through one
-/// shared engine must produce plans bit-identical to a serial
-/// single-threaded reference, and the cache must end up with exactly
-/// one characterization per distinct level (no duplicated misses, no
-/// torn entries).
+/// shared engine must produce plans bit-identical to a private
+/// single-caller flow, each drawn from the scan oracle's feasible set,
+/// and the cache must end up with exactly one characterization per
+/// distinct level (no duplicated misses, no torn entries).
 #[test]
 fn concurrent_threads_bit_identical_to_serial() {
     use std::sync::Arc;
 
-    // Serial reference: a private flow, one thread, uncached path.
+    // Reference: a private flow with one caller, each plan checked
+    // against the uncached oracle.
     let reference = flow();
     let clock = reference.fresh_critical_path_ps();
     let serial: Vec<_> = AGING_SWEEP_MV
         .iter()
         .map(|&mv| {
-            reference
-                .compression_for_constraint_serial(VthShift::from_millivolts(mv), clock)
-                .expect("feasible")
+            let shift = VthShift::from_millivolts(mv);
+            let plan = reference.compression_for(shift).expect("feasible");
+            assert_plan_in_oracle(&plan, &oracle_points(&reference, shift, clock));
+            plan
         })
         .collect();
 

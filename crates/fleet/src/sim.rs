@@ -27,6 +27,7 @@
 //! [`EvalEngine`]: agequant_core::EvalEngine
 //! [`EventKind::Degraded`]: crate::journal::EventKind::Degraded
 
+use agequant_check::par_map;
 use agequant_check::sync::Arc;
 use std::collections::BTreeMap;
 
@@ -480,8 +481,8 @@ impl FleetSim {
     }
 
     /// Shared fresh-fleet construction: positions each shard's RNG
-    /// substream by replaying the sampling draw counts, samples shards
-    /// (in parallel when there are several), and serves epoch-0 plans.
+    /// substream by replaying the sampling draw counts, samples the
+    /// shards in parallel, and serves epoch-0 plans.
     fn sample_fleet(
         config: FleetConfig,
         decider: Arc<Decider>,
@@ -495,42 +496,29 @@ impl FleetSim {
         // by replaying the draws of the chips before it (draw counts
         // vary per chip, so there is no fixed stride to jump by). The
         // replayed stream lands exactly where single-stream sampling
-        // would, so checkpoints stay bit-identical.
+        // would, so checkpoints stay bit-identical. The last shard's
+        // draws need no replay: its substream ends where the fleet
+        // stream does.
         let mut starts: Vec<(u32, u32, FleetRng)> = Vec::with_capacity(parts.len());
         let mut base = 0u32;
-        for &count in &parts {
+        for (i, &count) in parts.iter().enumerate() {
             let count = u32::try_from(count).expect("partition fits the chip count");
             starts.push((base, count, rng.clone()));
-            if parts.len() == 1 {
-                // Single shard: it samples from the fleet stream
-                // directly below; no need to skip ahead here.
-                break;
-            }
-            for _ in 0..count {
-                Chip::skip_sample_draws(&mut rng);
+            if i + 1 < parts.len() {
+                for _ in 0..count {
+                    Chip::skip_sample_draws(&mut rng);
+                }
             }
             base += count;
         }
-        let shards: Vec<FleetShard> = if starts.len() == 1 {
-            let (base, count, start) = starts.pop().expect("one shard");
-            let shard = FleetShard::sample(base, count, &model, start);
-            rng = shard.substream().clone();
-            vec![shard]
-        } else {
-            agequant_check::thread::scope(|scope| {
-                let handles: Vec<_> = starts
-                    .into_iter()
-                    .map(|(base, count, start)| {
-                        let model = &model;
-                        scope.spawn(move || FleetShard::sample(base, count, model, start))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sampling thread panicked"))
-                    .collect()
-            })
-        };
+        let shards = par_map(&starts, |(base, count, start)| {
+            FleetShard::sample(*base, *count, &model, start.clone())
+        });
+        let rng = shards
+            .last()
+            .expect("a partition has at least one shard")
+            .substream()
+            .clone();
         let mut sim = FleetSim {
             decider,
             config,
@@ -714,21 +702,7 @@ impl FleetSim {
             return Ok(());
         }
         let bucket_mv = self.config.bucket_mv;
-        let crossings: Vec<Vec<(usize, u64)>> = if self.shards.len() == 1 {
-            vec![self.shards[0].crossings(years, bucket_mv)]
-        } else {
-            agequant_check::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|shard| scope.spawn(move || shard.crossings(years, bucket_mv)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("physics thread panicked"))
-                    .collect()
-            })
-        };
+        let crossings = par_map(&self.shards, |shard| shard.crossings(years, bucket_mv));
         for (shard, crossed) in self.shards.iter_mut().zip(crossings) {
             for (i, new_bucket) in crossed {
                 shard.record_crossing(i, new_bucket, epoch);
@@ -1215,7 +1189,7 @@ impl FleetSim {
         // merge alone is not shard-count-invariant. Pre-memory
         // journals are already in this order, so the sort is a no-op
         // for them (pinned by the pre-memory fixture test).
-        merged.sort_by(|a, b| (a.epoch, a.chip).cmp(&(b.epoch, b.chip)));
+        merged.sort_by_key(|e| (e.epoch, e.chip));
         merged
     }
 

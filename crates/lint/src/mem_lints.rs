@@ -99,7 +99,10 @@ impl MemoryReportPhysical {
         let mut last_plain = 0.0f64;
         for (idx, point) in bank.failure.iter().enumerate() {
             let at = format!("bank {layer}, curve point {idx}");
-            if !(point.years >= 0.0) || point.years <= last_years {
+            // NaN fails every comparison, so test validity positively; the
+            // cell model below accepts only finite, non-negative years.
+            let years_valid = point.years.is_finite() && point.years >= 0.0;
+            if !years_valid || point.years <= last_years {
                 sink.report(format!(
                     "{at}: years {} after {last_years} (curve must ascend from ≥ 0)",
                     point.years
@@ -127,6 +130,9 @@ impl MemoryReportPhysical {
                      cannot make storage worse",
                     point.prob_encoded, point.prob_plain
                 ));
+            }
+            if !years_valid {
+                continue;
             }
             let want_plain = report
                 .cell

@@ -515,10 +515,18 @@ fn me001_fires_on_unphysical_memory_reports() {
     healing.banks[0].failure[last].prob_plain = 0.0;
     assert!(memory_report_codes(&healing).contains(&"ME001".to_string()));
 
-    // A curve whose years run backwards.
+    // A curve whose years run backwards, start at NaN, or end at
+    // infinity (both outside the cell model's domain).
     let mut backwards = clean.clone();
     backwards.banks[0].failure.reverse();
-    assert!(memory_report_codes(&backwards).contains(&"ME001".to_string()));
+    let mut nan_years = clean.clone();
+    nan_years.banks[0].failure[0].years = f64::NAN;
+    let mut endless = clean.clone();
+    let last = endless.banks[0].failure.len() - 1;
+    endless.banks[0].failure[last].years = f64::INFINITY;
+    for curve in [backwards, nan_years, endless] {
+        assert!(memory_report_codes(&curve).contains(&"ME001".to_string()));
+    }
 
     // A tampered probability the report's own cell model disowns.
     let mut tampered = clean.clone();

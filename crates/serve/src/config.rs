@@ -188,8 +188,10 @@ mod tests {
 
     #[test]
     fn config_round_trips_through_json() {
-        let mut config = ServeConfig::default();
-        config.journal = Some("results/serve/journal.jsonl".to_string());
+        let config = ServeConfig {
+            journal: Some("results/serve/journal.jsonl".to_string()),
+            ..ServeConfig::default()
+        };
         let back = ServeConfig::from_json(&config.to_json()).expect("parses");
         assert_eq!(back, config);
     }
