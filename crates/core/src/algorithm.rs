@@ -2,13 +2,17 @@
 //!
 //! Every per-aging-level entry point runs on the shared [`EvalEngine`]
 //! (memoized characterization and load vectors, plan cache) and fans
-//! its independent work out with [`par_map`]. The results are
-//! bit-identical to an uncached single-threaded walk of the same
-//! sequence — `crates/core/tests/equivalence.rs` checks this against
-//! oracles built on the public API.
+//! its independent work out with [`par_map`]; method selection for a
+//! zoo network is memoized per `(network, bit widths)` on the flow.
+//! The results are bit-identical to an uncached single-threaded walk
+//! of the same sequence — `crates/core/tests/equivalence.rs` checks
+//! this against oracles built on the public API.
+
+use std::collections::HashMap;
 
 use agequant_check::par_map;
-use agequant_check::sync::Arc;
+use agequant_check::sync::atomic::{AtomicU64, Ordering};
+use agequant_check::sync::{Arc, Mutex};
 
 use agequant_aging::{DegradationModel, DelayDerating, ModelSpec, VthShift};
 use agequant_netlist::mac::MacCircuit;
@@ -73,6 +77,34 @@ pub struct ModelOutcome {
     pub method_losses: Vec<(QuantMethod, f64)>,
 }
 
+/// Hit and miss counts of the flow's method memo (see
+/// [`AgingAwareQuantizer::select_arch_method`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MethodMemoStats {
+    /// Selections answered from a stored loss list.
+    pub hits: u64,
+    /// Selections that built the network and evaluated every method.
+    pub misses: u64,
+}
+
+/// The ordered per-method losses of Algorithm 1 lines 6–9.
+type MethodLosses = Vec<(QuantMethod, f64)>;
+
+/// One memo entry: empty until its key's losses are computed.
+type MethodSlot = Arc<Mutex<Option<MethodLosses>>>;
+
+/// The flow's method memo: one loss list per `(network, bit widths)`.
+#[derive(Debug, Default)]
+struct MethodMemo {
+    /// One slot per key. A slot's lock is held while its losses are
+    /// computed, so racing callers evaluate each key once while
+    /// distinct keys evaluate in parallel; the map's own lock is only
+    /// held to find the slot.
+    slots: Mutex<HashMap<(NetArch, BitWidths), MethodSlot>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
 /// The aging-aware quantization flow (Algorithm 1 + Fig. 3).
 ///
 /// Construction synthesizes the MAC, runs fresh STA to fix the clock
@@ -94,6 +126,11 @@ pub struct AgingAwareQuantizer {
     /// constraint), which is sound because `mac` and `config` are
     /// immutable after construction.
     engine: Arc<EvalEngine>,
+    /// Shared across clones. Keyed by `(network, bit widths)` alone:
+    /// the plan reaches method selection only through its bit widths,
+    /// and everything else the losses depend on (seeds, sample counts,
+    /// LAPQ budget) is fixed by the immutable `config`.
+    methods: Arc<MethodMemo>,
 }
 
 impl AgingAwareQuantizer {
@@ -144,6 +181,7 @@ impl AgingAwareQuantizer {
             model_key,
             derating,
             engine,
+            methods: Arc::default(),
         })
     }
 
@@ -367,7 +405,9 @@ impl AgingAwareQuantizer {
     /// [`par_map`]; the threshold policy is then applied to the
     /// ordered loss list, reproducing the paper's early exit exactly:
     /// with a threshold set, the reported `method_losses` end at the
-    /// first method meeting it.
+    /// first method meeting it. Uncached: every call quantizes and
+    /// evaluates `model` afresh (zoo networks go through the memoized
+    /// [`select_arch_method`](Self::select_arch_method)).
     ///
     /// # Errors
     ///
@@ -378,16 +418,75 @@ impl AgingAwareQuantizer {
         model: &Model,
         plan: CompressionPlan,
     ) -> Result<ModelOutcome, FlowError> {
+        let method_losses = self.evaluate_methods(model, plan.bit_widths());
+        Self::resolve_methods(model.name(), plan, method_losses, self.config.threshold_pct)
+    }
+
+    /// [`select_method`](Self::select_method) for zoo network `arch`,
+    /// memoized per `(arch, bit widths)`: the network is built (from
+    /// `model_seed`) and every method evaluated only on the first call
+    /// for a key, and each call applies the threshold policy to the
+    /// stored loss list with its own `plan`. The outcome is the one
+    /// `select_method` gives on a freshly built network. Clones of the
+    /// flow share the memo; [`method_memo_stats`](Self::method_memo_stats)
+    /// counts its hits and misses.
+    ///
+    /// # Errors
+    ///
+    /// [`FlowError::ThresholdUnmet`] when a threshold is configured and
+    /// no method satisfies it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a memo lock was poisoned by a panicking caller.
+    pub fn select_arch_method(
+        &self,
+        arch: NetArch,
+        plan: CompressionPlan,
+    ) -> Result<ModelOutcome, FlowError> {
+        let bits = plan.bit_widths();
+        let slot = Arc::clone(
+            self.methods
+                .slots
+                .lock()
+                .expect("unpoisoned method memo")
+                .entry((arch, bits))
+                .or_default(),
+        );
+        let method_losses = {
+            let mut stored = slot.lock().expect("unpoisoned method memo slot");
+            if let Some(losses) = stored.as_ref() {
+                self.methods.hits.fetch_add(1, Ordering::Relaxed);
+                losses.clone()
+            } else {
+                self.methods.misses.fetch_add(1, Ordering::Relaxed);
+                let model = arch.build(self.config.model_seed);
+                stored.insert(self.evaluate_methods(&model, bits)).clone()
+            }
+        };
+        Self::resolve_methods(arch.name(), plan, method_losses, self.config.threshold_pct)
+    }
+
+    /// The method memo's hit and miss counts so far.
+    #[must_use]
+    pub fn method_memo_stats(&self) -> MethodMemoStats {
+        MethodMemoStats {
+            hits: self.methods.hits.load(Ordering::Relaxed),
+            misses: self.methods.misses.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Quantizes `model` with every library method at `bits` and
+    /// measures each one's accuracy loss, in library order.
+    fn evaluate_methods(&self, model: &Model, bits: BitWidths) -> MethodLosses {
         let (calib, eval) = self.splits();
         let fp32 = model.predict_all(&ExactExecutor, eval.images());
-        let bits = plan.bit_widths();
-        let method_losses = par_map(&QuantMethod::ALL, |&method| {
+        par_map(&QuantMethod::ALL, |&method| {
             let quantized: QuantizedModel =
                 quantize_model_with(model, method, bits, &calib, &self.config.lapq);
             let preds = model.predict_all(&quantized, eval.images());
             (method, accuracy_loss_pct(&fp32, &preds))
-        });
-        Self::resolve_methods(model.name(), plan, method_losses, self.config.threshold_pct)
+        })
     }
 
     /// Applies the threshold policy to the ordered per-method losses.
@@ -443,7 +542,10 @@ impl AgingAwareQuantizer {
         })
     }
 
-    /// The complete Algorithm 1 for one zoo network at one aging level.
+    /// The complete Algorithm 1 for one zoo network at one aging level:
+    /// [`compression_for`](Self::compression_for), then the memoized
+    /// [`select_arch_method`](Self::select_arch_method), so levels
+    /// whose plans share bit widths evaluate the network once.
     ///
     /// # Errors
     ///
@@ -451,8 +553,7 @@ impl AgingAwareQuantizer {
     /// [`FlowError::ThresholdUnmet`].
     pub fn quantize_arch(&self, arch: NetArch, shift: VthShift) -> Result<ModelOutcome, FlowError> {
         let plan = self.compression_for(shift)?;
-        let model = arch.build(self.config.model_seed);
-        self.select_method(&model, plan)
+        self.select_arch_method(arch, plan)
     }
 }
 

@@ -58,7 +58,9 @@ pub mod lifetime;
 pub mod report;
 pub mod surrogate;
 
-pub use algorithm::{AgingAwareQuantizer, CompressionPlan, FeasiblePoint, ModelOutcome};
+pub use algorithm::{
+    AgingAwareQuantizer, CompressionPlan, FeasiblePoint, MethodMemoStats, ModelOutcome,
+};
 pub use config::{FlowConfig, MacSpec};
 pub use engine::{CacheStats, EvalEngine};
 pub use error::FlowError;

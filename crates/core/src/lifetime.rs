@@ -100,11 +100,13 @@ impl AccuracyTrajectory {
     /// Runs Algorithm 1 for every given network at every aged level of
     /// the scenario sweep.
     ///
-    /// The networks fan out with [`par_map`] (each builds and
-    /// evaluates its own model); within one network the levels run in
-    /// order, hitting the engine's plan cache — the `(α, β)` grid is
-    /// scanned once per level, not once per `(network, level)` pair as
-    /// in the seed.
+    /// The networks fan out with [`par_map`]; within one network the
+    /// levels run in order through
+    /// [`AgingAwareQuantizer::quantize_arch`], hitting the engine's
+    /// plan cache — the `(α, β)` grid is scanned once per level, not
+    /// once per `(network, level)` pair — and the flow's method memo,
+    /// so each network is built and evaluated once per distinct bit
+    /// widths rather than once per level.
     ///
     /// # Errors
     ///
@@ -112,12 +114,10 @@ impl AccuracyTrajectory {
     pub fn compute(flow: &AgingAwareQuantizer, archs: &[NetArch]) -> Result<Self, FlowError> {
         let shifts = flow.config().scenario.aged_sweep();
         let outcomes = par_map(archs, |&arch| {
-            let model = arch.build(flow.config().model_seed);
-            let mut per_level = Vec::with_capacity(shifts.len());
-            for &shift in &shifts {
-                let plan = flow.compression_for(shift)?;
-                per_level.push(flow.select_method(&model, plan)?);
-            }
+            let per_level = shifts
+                .iter()
+                .map(|&shift| flow.quantize_arch(arch, shift))
+                .collect::<Result<Vec<_>, FlowError>>()?;
             Ok((arch.name().to_string(), per_level))
         })
         .into_iter()

@@ -215,6 +215,63 @@ fn threshold_unmet_error_agrees_with_the_oracle() {
     assert_eq!(parallel, oracle);
 }
 
+/// The flow's method memo is transparent: at every aged level the
+/// memoized `quantize_arch` equals uncached `select_method` on a freshly
+/// built network under the same plan, and the sweep's five levels fall
+/// into three bit widths — (1,3), (3,3), (3,3), (4,4), (4,4) — so
+/// exactly three of them evaluate the network.
+#[test]
+fn method_memo_outcomes_equal_fresh_selection() {
+    let flow = quick_flow(None);
+    for arch in [NetArch::AlexNet, NetArch::SqueezeNet11] {
+        let before = flow.method_memo_stats();
+        for shift in flow.config().scenario.aged_sweep() {
+            let memoized = flow.quantize_arch(arch, shift).expect("completes");
+            let plan = flow.compression_for(shift).expect("feasible");
+            let model = arch.build(flow.config().model_seed);
+            let fresh = flow.select_method(&model, plan).expect("completes");
+            assert_eq!(memoized, fresh, "{} at {shift:?}", arch.name());
+        }
+        let after = flow.method_memo_stats();
+        assert_eq!(after.misses - before.misses, 3, "{after:?}");
+        assert_eq!(after.hits - before.hits, 2, "{after:?}");
+    }
+}
+
+/// A memo hit applies the threshold policy afresh: an unmet threshold
+/// is the same `ThresholdUnmet` on the miss, on the hit, and from
+/// uncached selection, and a met one truncates the loss list the same
+/// way at two levels sharing bit widths.
+#[test]
+fn method_memo_hits_reproduce_the_threshold_policy() {
+    let unmet = quick_flow(Some(0.0));
+    let shift = VthShift::from_millivolts(50.0);
+    let miss = unmet
+        .quantize_arch(NetArch::SqueezeNet11, shift)
+        .unwrap_err();
+    let hit = unmet
+        .quantize_arch(NetArch::SqueezeNet11, shift)
+        .unwrap_err();
+    let model = NetArch::SqueezeNet11.build(unmet.config().model_seed);
+    let plan = unmet.compression_for(shift).expect("feasible");
+    assert!(matches!(miss, FlowError::ThresholdUnmet { .. }), "{miss:?}");
+    assert_eq!(hit, miss);
+    assert_eq!(unmet.select_method(&model, plan).unwrap_err(), miss);
+    assert_eq!(unmet.method_memo_stats().misses, 1);
+    assert_eq!(unmet.method_memo_stats().hits, 1);
+
+    let met = quick_flow(Some(100.0));
+    let model = NetArch::AlexNet.build(met.config().model_seed);
+    for mv in [20.0, 30.0] {
+        let shift = VthShift::from_millivolts(mv);
+        let memoized = met.quantize_arch(NetArch::AlexNet, shift).expect("met");
+        let plan = met.compression_for(shift).expect("feasible");
+        assert_eq!(memoized, met.select_method(&model, plan).expect("met"));
+        assert_eq!(memoized.method_losses.len(), 1, "early exit reproduced");
+    }
+    assert_eq!(met.method_memo_stats().hits, 1, "20 and 30 mV share (3,3)");
+}
+
 /// The engine's caches are `RwLock`-protected and the engine itself is
 /// `Send + Sync`: N threads hammering the same ΔVth grid through one
 /// shared engine must produce plans bit-identical to a private

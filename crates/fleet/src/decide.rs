@@ -8,20 +8,19 @@
 //! server answer from literally the same code and cannot drift.
 //!
 //! The decider is `Send + Sync`: the underlying
-//! [`EvalEngine`](agequant_core::EvalEngine) caches are concurrent,
-//! and the decider-side memos (per-bucket method selection, proven
+//! [`EvalEngine`](agequant_core::EvalEngine) caches and the flow's
+//! method memo are concurrent, and the decider-side memos (proven
 //! infeasibility, first-encounter characterization order) sit behind
 //! one mutex so racing server workers agree on every outcome.
 //!
 //! [`FleetSim`]: crate::FleetSim
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use agequant_check::sync::{Arc, Mutex};
 
 use agequant_aging::VthShift;
-use agequant_core::{AgingAwareQuantizer, EvalEngine, FlowError};
-use agequant_nn::Model;
+use agequant_core::{AgingAwareQuantizer, CompressionPlan, EvalEngine, FlowError};
 use agequant_quant::QuantMethod;
 use agequant_sta::GuardbandModel;
 
@@ -85,13 +84,11 @@ impl Decision {
 }
 
 /// Decider-side memoization: everything the decision rule remembers
-/// beyond the engine's own caches. One mutex, because every field is
-/// consulted or updated on the same (cold) characterization path.
+/// beyond the engine's caches and the flow's method memo. One mutex,
+/// because every field is consulted or updated on the same (cold)
+/// characterization path.
 #[derive(Debug, Default)]
 struct Memos {
-    /// Per-`(bucket, constraint bits)` method selection — model
-    /// evaluation has no engine-side cache.
-    methods: BTreeMap<(u64, u64), Option<(QuantMethod, f64)>>,
     /// `(bucket, constraint bits)` pairs proven infeasible, so a
     /// degraded bucket is never rescanned per chip.
     infeasible: BTreeSet<(u64, u64)>,
@@ -100,8 +97,6 @@ struct Memos {
     /// Distinct buckets in first-encounter order (the observable
     /// [`Decider::buckets_planned`] view).
     planned_order: Vec<u64>,
-    /// Lazily built evaluation network for method selection.
-    model: Option<Model>,
 }
 
 /// The compression-decision core shared by [`FleetSim`] and the
@@ -289,11 +284,8 @@ impl Decider {
             }
             Err(other) => return Err(FleetError::Flow(other)),
         };
-        let method = {
-            let mut memos = self.memos.lock().expect("unpoisoned memos");
-            Self::record_planned(&mut memos, key);
-            self.select_method_for(&mut memos, key, plan)?
-        };
+        Self::record_planned(&mut self.memos.lock().expect("unpoisoned memos"), key);
+        let method = self.select_method_for(plan)?;
         Ok(Decision::Plan(ChipPlan {
             bucket,
             plan,
@@ -312,34 +304,24 @@ impl Decider {
         }
     }
 
-    /// Per-bucket method selection, memoized decider-side (quantizing
-    /// and evaluating a network is far more expensive than an STA scan
-    /// and has no engine cache). `None` when selection is disabled or
-    /// the configured threshold is unmet. Runs under the memo lock so
-    /// racing workers never duplicate a model evaluation.
+    /// Method selection for a plan, through the flow's memo (keyed by
+    /// network and bit widths, so buckets whose plans share bit widths
+    /// share one evaluation). `None` when selection is disabled or the
+    /// configured threshold is unmet. Called after the decider's own
+    /// lock is released: the decider's lock is never held while the
+    /// flow memo's is taken or awaited.
     fn select_method_for(
         &self,
-        memos: &mut Memos,
-        key: (u64, u64),
-        plan: agequant_core::CompressionPlan,
+        plan: CompressionPlan,
     ) -> Result<Option<(QuantMethod, f64)>, FleetError> {
         let Some(arch) = self.config.network else {
             return Ok(None);
         };
-        if let Some(memo) = memos.methods.get(&key) {
-            return Ok(*memo);
+        match self.flow.select_arch_method(arch, plan) {
+            Ok(outcome) => Ok(Some((outcome.method, outcome.accuracy_loss_pct))),
+            Err(FlowError::ThresholdUnmet { .. }) => Ok(None),
+            Err(other) => Err(FleetError::Flow(other)),
         }
-        if memos.model.is_none() {
-            memos.model = Some(arch.build(self.config.flow.model_seed));
-        }
-        let model = memos.model.as_ref().expect("model built above");
-        let method = match self.flow.select_method(model, plan) {
-            Ok(outcome) => Some((outcome.method, outcome.accuracy_loss_pct)),
-            Err(FlowError::ThresholdUnmet { .. }) => None,
-            Err(other) => return Err(FleetError::Flow(other)),
-        };
-        memos.methods.insert(key, method);
-        Ok(method)
     }
 
     /// Publishes a materialized [`DecisionTable`] for this decider's

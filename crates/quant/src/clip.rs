@@ -113,6 +113,18 @@ fn q_function(z: f64) -> f64 {
 /// ```
 #[must_use]
 pub fn aciq_optimal_clip(stats: &TensorStats, bits: u8, one_sided: bool) -> (f32, DistFit) {
+    let (mse, [lo, hi], fit) = aciq_objective(stats, bits, one_sided);
+    (golden_section(mse, lo, hi), fit)
+}
+
+/// [`aciq_optimal_clip`]'s search problem: the analytic MSE as a
+/// function of α, the bracket it is minimized over, and the fitted
+/// family.
+fn aciq_objective(
+    stats: &TensorStats,
+    bits: u8,
+    one_sided: bool,
+) -> (impl Fn(f64) -> f64, [f64; 2], DistFit) {
     assert!(bits > 0, "bits must be positive");
     let fit = DistFit::fit(stats);
     let scale = fit.scale_from(stats);
@@ -122,7 +134,7 @@ pub fn aciq_optimal_clip(stats: &TensorStats, bits: u8, one_sided: bool) -> (f32
     } else {
         f64::from(stats.max_abs()).max(scale)
     };
-    let mse = |alpha: f64| -> f64 {
+    let mse = move |alpha: f64| -> f64 {
         if one_sided {
             // Folded density doubles the tail mass; the in-range step
             // is α / 2^M.
@@ -134,22 +146,32 @@ pub fn aciq_optimal_clip(stats: &TensorStats, bits: u8, one_sided: bool) -> (f32
             2.0 * fit.tail_cost(scale, alpha) + quant
         }
     };
-    let alpha = golden_section(mse, scale * 0.1, hi.max(scale * 0.2));
-    (alpha as f32, fit)
+    (mse, [scale * 0.1, hi.max(scale * 0.2)], fit)
 }
 
 /// The LAPQ layer-wise clipping threshold: minimizes the empirical
 /// `L_p` norm of the quantization error over the stored value sample.
 ///
-/// Following Nahshan et al., the norm order grows as precision falls
-/// is tuned per bit width; this implementation uses the published
-/// heuristic `p ≈ 2` at 8 bits rising to `p ≈ 4` at 2 bits.
+/// Following Nahshan et al., the norm order `p` is tuned per bit
+/// width and grows as precision falls: `p ≈ 2` at 8 bits rising to
+/// `p ≈ 4` at 2 bits.
 ///
 /// # Panics
 ///
 /// Panics if `bits` is zero or the sample is empty.
 #[must_use]
 pub fn lp_norm_clip(stats: &TensorStats, bits: u8, one_sided: bool) -> f32 {
+    let (cost, [lo, hi]) = lp_objective(stats, bits, one_sided);
+    golden_section(cost, lo, hi)
+}
+
+/// [`lp_norm_clip`]'s search problem: the empirical `L_p` error as a
+/// function of α, and the bracket it is minimized over.
+fn lp_objective(
+    stats: &TensorStats,
+    bits: u8,
+    one_sided: bool,
+) -> (impl Fn(f64) -> f64 + '_, [f64; 2]) {
     assert!(bits > 0, "bits must be positive");
     assert!(!stats.sample.is_empty(), "empty calibration sample");
     let p = f64::from(2.0f32 + (8.0 - f32::from(bits.min(8))) / 3.0);
@@ -160,7 +182,7 @@ pub fn lp_norm_clip(stats: &TensorStats, bits: u8, one_sided: bool) -> f32 {
     } else {
         f64::from(stats.max_abs()).max(1e-6)
     };
-    let cost = |alpha: f64| -> f64 {
+    let cost = move |alpha: f64| -> f64 {
         let (lo, span) = if one_sided {
             (0.0f64, alpha)
         } else {
@@ -176,17 +198,31 @@ pub fn lp_norm_clip(stats: &TensorStats, bits: u8, one_sided: bool) -> f32 {
         }
         total
     };
-    golden_section(cost, hi * 0.05, hi) as f32
+    (cost, [hi * 0.05, hi])
 }
 
-/// Golden-section minimization of a unimodal-ish function on `[lo, hi]`.
-fn golden_section(f: impl Fn(f64) -> f64, lo: f64, hi: f64) -> f64 {
+/// Golden-section minimization of a unimodal-ish function on `[lo, hi]`,
+/// returning the final bracket's midpoint as an `f32`.
+///
+/// The search runs up to 60 iterations but stops as soon as both ends
+/// of the bracket round to the same nonzero `f32`. The brackets are
+/// nested and the `f64 → f32` cast is monotone, so every later midpoint
+/// would round to that same value: the early exit returns exactly the
+/// bits the full 60 iterations would. Two cases stay on the full loop:
+/// a bracket rounding to zero, which may still end on `+0.0` or
+/// `-0.0`, and a bracket with an infinite or NaN end, whose arithmetic
+/// turns to NaN so that the nesting argument does not hold.
+fn golden_section(f: impl Fn(f64) -> f64, lo: f64, hi: f64) -> f32 {
     const INV_PHI: f64 = 0.618_033_988_749_894_8;
     let (mut a, mut b) = (lo.min(hi), hi.max(lo));
     let mut c = b - (b - a) * INV_PHI;
     let mut d = a + (b - a) * INV_PHI;
     let (mut fc, mut fd) = (f(c), f(d));
     for _ in 0..60 {
+        let (fa, fb) = (a as f32, b as f32);
+        if fa == fb && fa != 0.0 && (b - a).is_finite() {
+            break;
+        }
         if fc < fd {
             b = d;
             d = c;
@@ -201,7 +237,7 @@ fn golden_section(f: impl Fn(f64) -> f64, lo: f64, hi: f64) -> f64 {
             fd = f(d);
         }
     }
-    0.5 * (a + b)
+    (0.5 * (a + b)) as f32
 }
 
 #[cfg(test)]
@@ -315,5 +351,194 @@ mod tests {
     fn golden_section_finds_parabola_minimum() {
         let min = golden_section(|x| (x - 3.7).powi(2), 0.0, 10.0);
         assert!((min - 3.7).abs() < 1e-6);
+    }
+
+    /// The search without its early exit: always 60 iterations.
+    fn golden_section_60(f: impl Fn(f64) -> f64, lo: f64, hi: f64) -> f32 {
+        const INV_PHI: f64 = 0.618_033_988_749_894_8;
+        let (mut a, mut b) = (lo.min(hi), hi.max(lo));
+        let mut c = b - (b - a) * INV_PHI;
+        let mut d = a + (b - a) * INV_PHI;
+        let (mut fc, mut fd) = (f(c), f(d));
+        for _ in 0..60 {
+            if fc < fd {
+                b = d;
+                d = c;
+                fd = fc;
+                c = b - (b - a) * INV_PHI;
+                fc = f(c);
+            } else {
+                a = c;
+                c = d;
+                fc = fd;
+                d = a + (b - a) * INV_PHI;
+                fd = f(d);
+            }
+        }
+        (0.5 * (a + b)) as f32
+    }
+
+    /// An objective drawn by the property test, from its kind and
+    /// parameters; `width` is the bracket's width.
+    fn objective(
+        kind: u8,
+        centre: f64,
+        width: f64,
+        p: f64,
+        phases: &[f64],
+    ) -> impl Fn(f64) -> f64 + '_ {
+        move |x: f64| match kind {
+            0 => (x - centre).powi(2),
+            1 => (x - centre).abs().powf(p),
+            // Not unimodal: several local minima inside the bracket.
+            2 => phases
+                .iter()
+                .enumerate()
+                .map(|(k, &phase)| {
+                    let turns = (k + 1) as f64 * 3.0 * (x - centre) / width.max(f64::MIN_POSITIVE);
+                    (turns * std::f64::consts::TAU + phase).cos()
+                })
+                .sum(),
+            3 if x > centre => f64::NAN,
+            3 => (x - centre).powi(2),
+            _ => f64::NAN,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+
+        /// The early exit returns exactly the 60-iteration answer.
+        #[test]
+        fn early_exit_matches_sixty_iterations(
+            shape in 0u8..4,
+            mantissa in 1.0f64..2.0,
+            exponent in -1074i32..1024,
+            width in 0.0f64..1.0,
+            width_exponent in -60i32..8,
+            negative in proptest::any::<bool>(),
+            kind in 0u8..5,
+            position in -0.5f64..1.5,
+            p in 0.5f64..6.0,
+            phases in proptest::collection::vec(0.0f64..6.3, 1..6),
+        ) {
+            // Two factors, so that subnormal powers do not underflow.
+            let power = 2f64.powi(exponent / 2) * 2f64.powi(exponent - exponent / 2);
+            let base = mantissa * power * if negative { -1.0 } else { 1.0 };
+            let span = base.abs().max(f64::MIN_POSITIVE) * width * 2f64.powi(width_exponent);
+            // lo < hi, lo > hi, lo == hi, and an interval reaching the
+            // largest magnitudes (whose midpoint sum overflows).
+            let (lo, hi) = match shape {
+                0 => (base, base + span),
+                1 => (base + span, base),
+                2 => (base, base),
+                _ => (f64::MAX * width.copysign(base), f64::MAX.copysign(base)),
+            };
+            let centre = lo + (hi - lo) * position;
+            let f = objective(kind, centre, (hi - lo).abs(), p, &phases);
+            let fast = golden_section(&f, lo, hi);
+            let full = golden_section_60(&f, lo, hi);
+            proptest::prop_assert_eq!(
+                fast.to_bits(),
+                full.to_bits(),
+                "[{lo:e}, {hi:e}]: {fast:e} vs {full:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn early_exit_matches_on_non_finite_brackets() {
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MAX,
+        ];
+        for &lo in &specials {
+            for &hi in &specials {
+                for kind in 0..5 {
+                    let f = objective(kind, 0.5, 1.0, 2.0, &[1.0, 2.0]);
+                    let fast = golden_section(&f, lo, hi);
+                    let full = golden_section_60(&f, lo, hi);
+                    assert_eq!(fast.to_bits(), full.to_bits(), "[{lo}, {hi}] kind {kind}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn early_exit_saves_cost_evaluations() {
+        let calls = std::cell::Cell::new(0u32);
+        let stats = TensorStats::collect(&laplace_sample(1.0, 4000));
+        let (cost, [lo, hi]) = lp_objective(&stats, 4, false);
+        let counted = |x: f64| {
+            calls.set(calls.get() + 1);
+            cost(x)
+        };
+        let _ = golden_section(counted, lo, hi);
+        assert!(calls.get() < 45, "{} evaluations", calls.get());
+    }
+
+    /// Every clip population the quantizer meets in `arch`: the input
+    /// activations of each weighted layer over two calibration images,
+    /// and every weight row.
+    fn zoo_populations(arch: agequant_nn::NetArch) -> Vec<TensorStats> {
+        use agequant_nn::{ExactExecutor, Op, SyntheticDataset};
+        let model = arch.build(7);
+        let weighted = model.weighted_layers();
+        let feeders: Vec<_> = weighted
+            .iter()
+            .map(|id| model.nodes()[id.index()].inputs[0])
+            .collect();
+        let mut acts = vec![Vec::new(); feeders.len()];
+        for image in SyntheticDataset::generate(2, 2021).images() {
+            let _ = model.run_traced(&ExactExecutor, image, |id, out| {
+                for (i, _) in feeders.iter().enumerate().filter(|(_, &f)| f == id) {
+                    acts[i].extend_from_slice(out.data());
+                }
+            });
+        }
+        let mut populations: Vec<TensorStats> =
+            acts.iter().map(|a| TensorStats::collect(a)).collect();
+        for id in weighted {
+            let weights = match &model.nodes()[id.index()].op {
+                Op::Conv(conv) => &conv.weights,
+                Op::Linear(linear) => &linear.weights,
+                _ => unreachable!("weighted layers are conv or linear"),
+            };
+            let fan = weights.len() / weights.shape()[0];
+            populations.extend(weights.data().chunks(fan).map(TensorStats::collect));
+        }
+        populations
+    }
+
+    #[test]
+    fn real_populations_clip_bit_identically() {
+        for arch in [
+            agequant_nn::NetArch::AlexNet,
+            agequant_nn::NetArch::SqueezeNet11,
+        ] {
+            for stats in zoo_populations(arch) {
+                for bits in 1..=8u8 {
+                    for one_sided in [false, true] {
+                        let (cost, [lo, hi]) = lp_objective(&stats, bits, one_sided);
+                        assert_eq!(
+                            lp_norm_clip(&stats, bits, one_sided).to_bits(),
+                            golden_section_60(cost, lo, hi).to_bits(),
+                            "{arch:?} LAPQ {bits} bits, one-sided {one_sided}"
+                        );
+                        let (mse, [lo, hi], fit) = aciq_objective(&stats, bits, one_sided);
+                        assert_eq!(
+                            aciq_optimal_clip(&stats, bits, one_sided),
+                            (golden_section_60(mse, lo, hi), fit),
+                            "{arch:?} ACIQ {bits} bits, one-sided {one_sided}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

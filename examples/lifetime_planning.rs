@@ -3,7 +3,9 @@
 //!
 //! This is the deployment view of the paper's technique: a maintenance
 //! schedule mapping calendar years to `(α, β)` re-quantization events,
-//! derived from the NBTI kinetics and the timing-feasibility scans.
+//! derived from the NBTI kinetics and the timing-feasibility scans,
+//! with the quantization method Algorithm 1 selects for AlexNet
+//! at each level.
 //!
 //! ```text
 //! cargo run --release --example lifetime_planning
@@ -11,6 +13,7 @@
 
 use agequant::aging::VthShift;
 use agequant::core::{AgingAwareQuantizer, FlowConfig};
+use agequant::nn::NetArch;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let flow = AgingAwareQuantizer::new(FlowConfig::edge_tpu_like())?;
@@ -27,10 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         100.0 * scenario.required_guardband()
     );
     println!(
-        "{:>8} | {:>9} | {:>8} | {:>8} | {:>10} | {:>10}",
-        "ΔVth", "reached", "(α, β)", "padding", "act bits", "wgt bits"
+        "{:>8} | {:>9} | {:>8} | {:>8} | {:>10} | {:>10} | {:>11}",
+        "ΔVth", "reached", "(α, β)", "padding", "act bits", "wgt bits", "method"
     );
-    println!("{:-<68}", "");
+    println!("{:-<82}", "");
 
     let mut previous = None;
     for shift in scenario.sweep() {
@@ -42,19 +45,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("{years:.2} y")
         };
         let bits = plan.bit_widths();
+        let outcome = flow.quantize_arch(NetArch::AlexNet, shift)?;
+        let method = format!("{} {:.1}%", outcome.method.tag(), outcome.accuracy_loss_pct);
         let marker = if previous != Some(plan.compression) {
             " ← re-quantize"
         } else {
             ""
         };
         println!(
-            "{:>8} | {:>9} | {:>8} | {:>8} | {:>10} | {:>10}{marker}",
+            "{:>8} | {:>9} | {:>8} | {:>8} | {:>10} | {:>10} | {:>11}{marker}",
             shift.to_string(),
             when,
             plan.compression.to_string(),
             plan.padding.to_string(),
             bits.activations,
-            bits.weights
+            bits.weights,
+            method
         );
         previous = Some(plan.compression);
     }
@@ -74,12 +80,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The whole schedule above ran on the memoized evaluation engine:
     // each aging level characterized its library and scanned the grid
-    // exactly once, no matter how many times the plan was consulted.
+    // exactly once, no matter how many times the plan was consulted,
+    // and the network was evaluated once per distinct bit widths.
     let stats = flow.engine().stats();
+    let methods = flow.method_memo_stats();
     println!(
         "\nevaluation engine: {} characterizations served {} cached lookups, \
-         {} grid scans served {} cached plans",
-        stats.library_misses, stats.library_hits, stats.plan_misses, stats.plan_hits
+         {} grid scans served {} cached plans, \
+         {} method selections served {} cached selections",
+        stats.library_misses,
+        stats.library_hits,
+        stats.plan_misses,
+        stats.plan_hits,
+        methods.misses,
+        methods.hits
     );
     Ok(())
 }
